@@ -44,7 +44,7 @@ pub mod types;
 pub use assign::{use_before_assign, UseBeforeAssign};
 pub use callgraph::{CallGraph, CallSite, CallSiteKind};
 pub use dataflow::{solve, Analysis, DataflowResults, Direction, JoinSemiLattice};
-pub use fingerprint::{chunk_fingerprint, layout_fingerprint, unit_layout_fingerprint};
+pub use fingerprint::chunk_fingerprint;
 pub use flow::{func_flow_consistent, infer_flow, FlowSolution};
 pub use lint::{
     is_own_layer_order, lint_profile, lint_profile_with, Diagnostic, LintOptions, LintReport,

@@ -20,8 +20,7 @@
 //!    (survives immediate renumbering), neighborhood hash (disambiguates
 //!    duplicate bodies by graph position) and call-site anchors (names of
 //!    the block's call targets). Each level pairs equal hashes in relative
-//!    block order, so duplicate hashes can no longer misalign the way the
-//!    old greedy in-order scan did.
+//!    block order, so duplicate hashes cannot misalign the match.
 //! 3. **Flow-conservation inference** — matched counts become *hints* to
 //!    [`crate::flow::infer_flow`], which constructs an exact integer
 //!    circulation over the new CFG. Unmatched regions get consistent
@@ -56,8 +55,6 @@ pub enum MatchMode {
     /// Drop every function that is not exactly fresh (the pre-matching
     /// baseline the `jsstale` bench compares against).
     DropStale,
-    /// The original greedy in-order exact-hash scan, kept for comparison.
-    LegacyGreedy,
 }
 
 /// Options for [`repair_profile_with`].
@@ -120,32 +117,6 @@ impl RepairReport {
     pub fn untouched(&self) -> bool {
         self.repaired.is_empty() && self.dropped.is_empty() && self.pruned == 0
     }
-}
-
-/// Remaps `old` counters (with hashes `old_hashes`) onto blocks of the
-/// current CFG by greedy in-order hash matching (the legacy v1 scan).
-/// Returns the new counter vector, the matched counter mass, and how many
-/// old counter entries the scan never examined — previously those were
-/// silently truncated; callers must report them as pruned.
-fn remap_counts(old: &[u64], old_hashes: &[u64], cur_hashes: &[u64]) -> (Vec<u64>, u64, usize) {
-    let mut counts = vec![0u64; cur_hashes.len()];
-    let mut matched = 0u64;
-    let mut cursor = 0usize;
-    let mut visited = 0usize;
-    for (i, &h) in old_hashes.iter().enumerate() {
-        let Some(&c) = old.get(i) else { break };
-        visited += 1;
-        if let Some(j) = cur_hashes[cursor..].iter().position(|&ch| ch == h) {
-            let j = cursor + j;
-            counts[j] = c;
-            matched += c;
-            cursor = j + 1;
-        }
-        if cursor >= cur_hashes.len() {
-            break;
-        }
-    }
-    (counts, matched, old.len() - visited)
 }
 
 // One rung of the matching ladder, as stats indices.
@@ -247,27 +218,6 @@ pub fn repair_profile_with(
                 report.stats.mass_dropped += total;
                 stale_drops.push(fid);
                 continue;
-            }
-            MatchMode::LegacyGreedy => {
-                if fp.block_hashes.len() != fp.block_counts.len() || fp.block_hashes.is_empty() {
-                    report.stats.mass_dropped += total;
-                    stale_drops.push(fid);
-                    continue;
-                }
-                let (counts, matched, skipped) =
-                    remap_counts(&fp.block_counts, &fp.block_hashes, &cur_exact);
-                report.pruned += skipped;
-                if total > 0 && (matched as f64) < MIN_MATCHED_MASS * total as f64 {
-                    report.stats.mass_dropped += total;
-                    stale_drops.push(fid);
-                    continue;
-                }
-                report.stats.mass_matched += matched;
-                report.stats.mass_dropped += total - matched;
-                fp.block_counts = counts;
-                fp.block_hashes = cur_exact;
-                refresh_signatures(repo, fid, fp, &cfg);
-                report.repaired.push(fid);
             }
             MatchMode::Full => {
                 let cur_opcode = cfg.block_opcode_hashes(func);
@@ -847,20 +797,6 @@ mod tests {
         assert!(report.dropped.contains(&f), "got {report:?}");
         assert!(!tier.funcs.contains_key(&f));
         assert!(report.stats.mass_dropped > 0);
-    }
-
-    #[test]
-    fn legacy_greedy_truncation_is_reported_as_pruned() {
-        // More counters than hashes: the greedy scan never examines the
-        // tail — it must be counted, not silently dropped.
-        let (counts, matched, skipped) = remap_counts(&[5, 6, 7], &[42], &[42]);
-        assert_eq!(counts, vec![5]);
-        assert_eq!(matched, 5);
-        assert_eq!(skipped, 2);
-        // Cursor exhaustion mid-scan leaves the remaining entries
-        // unexamined too.
-        let (_, _, skipped) = remap_counts(&[1, 2, 3], &[9, 9, 9], &[9]);
-        assert_eq!(skipped, 2);
     }
 
     #[test]

@@ -1,13 +1,11 @@
 //! Compile-cost microbenchmarks: `translate_optimized` wall time and
 //! translated-bytes throughput (so Criterion reports both ns and ns/byte),
-//! the effect of the shared inline-body template cache, and the
-//! incremental `exttsp_order` against the reference implementation on
-//! synthetic CFGs of realistic sizes.
+//! and the incremental `exttsp_order` against the reference implementation
+//! on synthetic CFGs of realistic sizes.
 
 use bench::Lab;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use jit::{translate_optimized, translate_optimized_with, JitOptions, TemplateSource};
-use jumpstart::TemplateCache;
+use jit::{translate_optimized, JitOptions};
 use layout::{exttsp_order, exttsp_order_reference, BlockEdge, BlockNode, ExtTspParams};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,7 +44,7 @@ fn bench_translate(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("translate_optimized");
     group.throughput(Throughput::Bytes(bytes));
-    group.bench_function("hot24_uncached", |b| {
+    group.bench_function("hot24", |b| {
         b.iter(|| {
             for &f in &funcs {
                 translate_optimized(
@@ -57,25 +55,6 @@ fn bench_translate(c: &mut Criterion) {
                     opts.weights,
                     opts.inline,
                     &no_slots,
-                );
-            }
-        })
-    });
-    // Shared template cache pre-warmed once, as in a steady boot: inline
-    // sites splice memoized bodies instead of re-translating the callee.
-    let templates = TemplateCache::default();
-    group.bench_function("hot24_cached_templates", |b| {
-        b.iter(|| {
-            for &f in &funcs {
-                translate_optimized_with(
-                    &lab.app.repo,
-                    f,
-                    tier,
-                    ctx,
-                    opts.weights,
-                    opts.inline,
-                    &no_slots,
-                    Some(&templates as &dyn TemplateSource),
                 );
             }
         })

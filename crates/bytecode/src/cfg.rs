@@ -303,8 +303,8 @@ impl Cfg {
 /// FNV-1a, enough for structural fingerprints (no adversarial inputs).
 ///
 /// This is the hash behind [`Cfg::block_hashes`]; it is exported so other
-/// structural fingerprints (e.g. the consumer's layout-plan cache keys)
-/// stay in the same hash family instead of growing parallel hashers.
+/// structural fingerprints (e.g. the chunk store's chunk ids) stay in the
+/// same hash family instead of growing parallel hashers.
 pub struct Fnv(u64);
 
 impl Fnv {

@@ -76,8 +76,8 @@ pub enum ChunkKind {
         /// this without decoding the chunk.
         heat: u64,
         /// Every function the record's call-target profile references.
-        /// The lazy decoder closes the hot set over these so inline
-        /// templates always find their callee profiles decoded.
+        /// The lazy decoder closes the hot set over these so inlining
+        /// always finds its callee profiles decoded.
         callees: Vec<FuncId>,
     },
     /// Property counters, ctx profile, prop orders, function order.
@@ -804,7 +804,7 @@ impl<'a> LazyLoader<'a> {
 
     /// The hot decode set: entry indices of `hot` plus every function
     /// transitively reachable through the manifest's callee lists.
-    /// Inline templates read callee profiles out of the tier during
+    /// Inlining reads callee profiles out of the tier during
     /// translation, so compiling the hot set against a partial tier is
     /// only sound once this closure is decoded.
     pub fn hot_closure(&self, hot: impl IntoIterator<Item = FuncId>) -> Vec<usize> {
@@ -1112,9 +1112,9 @@ mod tests {
         let pkg = sample();
         let enc = chunk_package(&pkg, 64).manifest.encode();
 
-        // Envelope version below the floor: rejected at unseal.
+        // Previous envelope version: rejected at unseal.
         let mut old = enc.to_vec();
-        old[8..12].copy_from_slice(&(crate::wire::MIN_VERSION - 1).to_le_bytes());
+        old[8..12].copy_from_slice(&(crate::wire::VERSION - 1).to_le_bytes());
         assert!(matches!(
             Manifest::decode(&old),
             Err(WireError::BadVersion { .. })

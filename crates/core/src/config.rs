@@ -63,13 +63,6 @@ pub struct JumpStartOptions {
     /// in the background while serving. `1.0` (default) keeps the paper's
     /// compile-everything-before-serving behavior (§IV-A).
     pub early_serve_frac: f64,
-    /// Memoize compile work across the boot: inline-body templates (each
-    /// inlinable callee translated once, spliced per site) and layout
-    /// plans (keyed by a structural fingerprint of the layout inputs).
-    /// Both caches are exact — the emitted code cache is byte-identical
-    /// either way — so this knob exists as a kill switch and for
-    /// measuring the caches' effect.
-    pub compile_caches: bool,
 }
 
 impl Default for JumpStartOptions {
@@ -88,7 +81,6 @@ impl Default for JumpStartOptions {
             static_lint: true,
             lint_repair: true,
             early_serve_frac: 1.0,
-            compile_caches: true,
         }
     }
 }

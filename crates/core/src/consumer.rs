@@ -292,8 +292,8 @@ fn merge_workers(a: Vec<WorkerStats>, b: Vec<WorkerStats>) -> Vec<WorkerStats> {
 /// monolithic package.
 ///
 /// With `opts.early_serve_frac < 1` only the chunks covering the hottest
-/// fraction of heat mass (plus their transitive callees, so inline
-/// templates always find callee profiles) are decoded before
+/// fraction of heat mass (plus their transitive callees, so inlining
+/// always finds callee profiles) are decoded before
 /// serve-start; [`ChunkBootStats`] reports exactly how many bytes that
 /// touched. The two pipeline stages emit in the same concatenated order
 /// a monolithic boot would, so the code-cache layout is byte-identical.
@@ -418,7 +418,6 @@ pub fn consume_chunked<'r>(
     };
     let mut engine = JitEngine::new(repo, jit_opts);
     let resolver = |class: ClassId, name: StrId| prop_slots.get(&(class, name)).copied();
-    let caches = opts.compile_caches.then(pipeline::CompileCaches::default);
 
     // Stage 1: compile the serve-start prefix against the partial tier.
     // Each stage runs at frac 1.0 — the early-serve split is the stage
@@ -433,7 +432,6 @@ pub fn consume_chunked<'r>(
             resolver: &resolver,
             early_serve_frac: 1.0,
             poison_crash,
-            caches: caches.as_ref(),
             metrics: registry.clone(),
         };
         pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)?
@@ -463,7 +461,6 @@ pub fn consume_chunked<'r>(
             resolver: &resolver,
             early_serve_frac: 1.0,
             poison_crash,
-            caches: caches.as_ref(),
             metrics: registry.clone(),
         };
         pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)?
@@ -509,7 +506,6 @@ pub fn consume_chunked<'r>(
         compile_bytes,
         workers: merge_workers(r1.workers, r2.workers),
         early_serve,
-        caches: caches.as_ref().map(pipeline::CompileCaches::stats),
     };
     for (name, v) in [
         ("chunk.manifest_bytes", chunk_stats.manifest_bytes),
@@ -667,10 +663,6 @@ pub fn consume<'r>(
         .into_iter()
         .filter(|f| tier.funcs.contains_key(f))
         .collect();
-    // The compile caches (inline-body templates + layout plans) are
-    // per-boot and shared across the translation workers; they memoize
-    // exactly, so the emitted layout is byte-identical with them off.
-    let caches = opts.compile_caches.then(pipeline::CompileCaches::default);
     let job = PipelineJob {
         repo,
         tier,
@@ -680,7 +672,6 @@ pub fn consume<'r>(
         resolver: &resolver,
         early_serve_frac: opts.early_serve_frac,
         poison_crash,
-        caches: caches.as_ref(),
         metrics: registry.clone(),
     };
     let result = pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)?;
@@ -703,7 +694,6 @@ pub fn consume<'r>(
         compile_bytes: result.compile_bytes,
         workers: result.workers,
         early_serve: result.early_serve,
-        caches: caches.as_ref().map(pipeline::CompileCaches::stats),
     };
     // The registry is the source of truth; BootStats is the rendered
     // view. Recording then re-rendering must round-trip exactly.
@@ -825,53 +815,30 @@ mod tests {
     }
 
     #[test]
-    fn compile_caches_preserve_layout_and_report_stats() {
+    fn previous_wire_version_is_rejected_cleanly() {
         let (repo, pkg) = make_package();
-        let uncached = consume(
+        let mut old = pkg.serialize().to_vec();
+        old[8..12].copy_from_slice(&5u32.to_le_bytes());
+        let old = bytes::Bytes::from(old);
+        let expected = WireError::BadVersion {
+            found: 5,
+            supported: 6,
+        };
+        assert_eq!(ProfilePackage::deserialize(&old), Err(expected.clone()));
+        assert_eq!(
+            ProfilePackage::deserialize_shared(&old),
+            Err(expected.clone())
+        );
+        match consume_bytes(
             &repo,
-            &pkg,
-            JitOptions::default(),
-            &JumpStartOptions {
-                compile_caches: false,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
-        let cached = consume(
-            &repo,
-            &pkg,
+            &old,
             JitOptions::default(),
             &JumpStartOptions::default(),
             1,
-        )
-        .unwrap();
-        // The caches are exact memoization: the emitted code cache must be
-        // byte-identical with them on or off.
-        assert_eq!(
-            cached.engine.code_cache.layout_digest(),
-            uncached.engine.code_cache.layout_digest()
-        );
-        assert_eq!(cached.compile_bytes, uncached.compile_bytes);
-        // Telemetry: off → absent; on → present, with every planned unit
-        // passing through the plan cache.
-        assert!(uncached.boot.caches.is_none());
-        let stats = cached.boot.caches.expect("caches on by default");
-        assert!(stats.plan_hits + stats.plan_misses >= cached.compiled_funcs as u64);
-        // A cached parallel boot still matches the uncached layout.
-        let par = consume(
-            &repo,
-            &pkg,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            4,
-        )
-        .unwrap();
-        assert_eq!(
-            par.engine.code_cache.layout_digest(),
-            uncached.engine.code_cache.layout_digest()
-        );
-        assert!(par.boot.caches.is_some());
+        ) {
+            Err(err) => assert_eq!(err, ConsumerError::Wire(expected)),
+            Ok(_) => panic!("a v5 envelope booted"),
+        }
     }
 
     #[test]

@@ -29,115 +29,15 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use analysis::layout_fingerprint;
-use bytecode::{ClassId, Fnv, FuncId, Repo, StrId};
+use bytecode::{ClassId, FuncId, Repo, StrId};
 use crossbeam::{channel, deque};
 use jit::vasm::VasmUnit;
 use jit::{
-    plan_layout, plan_layout_parts, translate_optimized_with, CtxProfile, InlineTemplate,
-    JitEngine, JitOptions, LayoutPlan, TemplateKey, TemplateSource, TierProfile,
+    plan_layout, translate_optimized, CtxProfile, JitEngine, JitOptions, LayoutPlan, TierProfile,
 };
-use layout::{PlanCache, PlanKey};
-
-const TEMPLATE_SHARDS: usize = 16;
-
-/// Sharded read-mostly cache of memoized inline-body templates, shared
-/// across translation workers (the [`TemplateSource`] the JIT splices
-/// from). Misses build outside any lock; a concurrent duplicate build
-/// produces an identical template (translation is deterministic) and the
-/// first insert wins.
-pub struct TemplateCache {
-    shards: Vec<RwLock<HashMap<TemplateKey, Arc<InlineTemplate>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for TemplateCache {
-    fn default() -> Self {
-        Self {
-            shards: (0..TEMPLATE_SHARDS)
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-}
-
-impl TemplateCache {
-    /// Lookups served from the cache (= inline sites spliced for free).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Lookups that had to translate the callee body.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-}
-
-impl TemplateSource for TemplateCache {
-    fn get_or_build(
-        &self,
-        key: TemplateKey,
-        build: &mut dyn FnMut() -> InlineTemplate,
-    ) -> Arc<InlineTemplate> {
-        let shard = &self.shards[key.callee.index() % TEMPLATE_SHARDS];
-        if let Some(tpl) = shard.read().expect("template cache poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return tpl.clone();
-        }
-        let tpl = Arc::new(build());
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        shard
-            .write()
-            .expect("template cache poisoned")
-            .entry(key)
-            .or_insert(tpl)
-            .clone()
-    }
-}
-
-/// The per-boot compile caches ([`crate::JumpStartOptions::compile_caches`]):
-/// inline-body templates plus layout plans. Both are exact memoizations —
-/// a boot with caches emits a byte-identical code cache to one without.
-#[derive(Default)]
-pub struct CompileCaches {
-    /// Memoized inline-body templates.
-    pub templates: TemplateCache,
-    /// Memoized layout plans, keyed by structural fingerprint of the
-    /// layout inputs (full-key compare on lookup — collision-safe).
-    pub plans: PlanCache,
-}
-
-impl CompileCaches {
-    /// Snapshot of the hit/miss counters for boot telemetry.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            template_hits: self.templates.hits(),
-            template_misses: self.templates.misses(),
-            plan_hits: self.plans.hits(),
-            plan_misses: self.plans.misses(),
-        }
-    }
-}
-
-/// Compile-cache telemetry for one boot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Inline sites spliced from a memoized template.
-    pub template_hits: u64,
-    /// Inline-body templates built (distinct callees × weight modes).
-    pub template_misses: u64,
-    /// Layout plans reused from the cache.
-    pub plan_hits: u64,
-    /// Layout plans computed.
-    pub plan_misses: u64,
-}
 
 /// Per-worker translation telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -202,8 +102,6 @@ pub struct BootStats {
     pub workers: Vec<WorkerStats>,
     /// Early-serve crossing, when a fraction < 1.0 was configured.
     pub early_serve: Option<EarlyServe>,
-    /// Compile-cache hit/miss counters (None with the caches disabled).
-    pub caches: Option<CacheStats>,
 }
 
 impl BootStats {
@@ -259,15 +157,6 @@ impl BootStats {
                 ms(w.stall_ns),
             ));
         }
-        if let Some(c) = &self.caches {
-            out.push_str(&format!(
-                "  caches       templates {}/{} hit, plans {}/{} hit\n",
-                c.template_hits,
-                c.template_hits + c.template_misses,
-                c.plan_hits,
-                c.plan_hits + c.plan_misses,
-            ));
-        }
         if let Some(e) = &self.early_serve {
             out.push_str(&format!(
                 "  early-serve  ready at {:.3} ms with {} funcs / {} bytes ({:.0}% heat), {} funcs / {} bytes in background\n",
@@ -302,15 +191,8 @@ impl BootStats {
             ),
             None => "null".to_string(),
         };
-        let caches = match &self.caches {
-            Some(c) => format!(
-                "{{\"template_hits\":{},\"template_misses\":{},\"plan_hits\":{},\"plan_misses\":{}}}",
-                c.template_hits, c.template_misses, c.plan_hits, c.plan_misses
-            ),
-            None => "null".to_string(),
-        };
         format!(
-            "{{\"threads\":{},\"decode_ns\":{},\"lint_repair_ns\":{},\"prop_slots_ns\":{},\"pipeline_ns\":{},\"emit_ns\":{},\"emit_stall_ns\":{},\"total_ns\":{},\"compiled_funcs\":{},\"compile_bytes\":{},\"workers\":[{}],\"early_serve\":{},\"caches\":{}}}",
+            "{{\"threads\":{},\"decode_ns\":{},\"lint_repair_ns\":{},\"prop_slots_ns\":{},\"pipeline_ns\":{},\"emit_ns\":{},\"emit_stall_ns\":{},\"total_ns\":{},\"compiled_funcs\":{},\"compile_bytes\":{},\"workers\":[{}],\"early_serve\":{}}}",
             self.threads,
             self.decode_ns,
             self.lint_repair_ns,
@@ -323,7 +205,6 @@ impl BootStats {
             self.compile_bytes,
             workers.join(","),
             early,
-            caches,
         )
     }
 
@@ -367,15 +248,6 @@ impl BootStats {
             reg.gauge("boot.early_serve.background_bytes")
                 .set(e.background_bytes);
         }
-        reg.gauge("boot.cache.present")
-            .set(self.caches.is_some() as u64);
-        if let Some(c) = &self.caches {
-            reg.gauge("boot.cache.template_hits").set(c.template_hits);
-            reg.gauge("boot.cache.template_misses")
-                .set(c.template_misses);
-            reg.gauge("boot.cache.plan_hits").set(c.plan_hits);
-            reg.gauge("boot.cache.plan_misses").set(c.plan_misses);
-        }
     }
 
     /// Renders boot stats from the `boot.*` gauges in `reg` — BootStats is
@@ -398,12 +270,6 @@ impl BootStats {
             background_funcs: reg.value_u64("boot.early_serve.background_funcs") as usize,
             background_bytes: reg.value_u64("boot.early_serve.background_bytes"),
         });
-        let caches = (reg.value_u64("boot.cache.present") == 1).then(|| CacheStats {
-            template_hits: reg.value_u64("boot.cache.template_hits"),
-            template_misses: reg.value_u64("boot.cache.template_misses"),
-            plan_hits: reg.value_u64("boot.cache.plan_hits"),
-            plan_misses: reg.value_u64("boot.cache.plan_misses"),
-        });
         BootStats {
             threads: reg.value_u64("boot.threads") as usize,
             decode_ns: reg.value_u64("boot.decode_ns"),
@@ -417,7 +283,6 @@ impl BootStats {
             compile_bytes: reg.value_u64("boot.compile_bytes"),
             workers,
             early_serve,
-            caches,
         }
     }
 }
@@ -495,8 +360,6 @@ pub(crate) struct PipelineJob<'a, 'r> {
     /// with threads > 1): the worker panics and the pipeline must surface
     /// the panic as an error, not abort.
     pub poison_crash: bool,
-    /// Shared compile caches (templates + layout plans), when enabled.
-    pub caches: Option<&'a CompileCaches>,
     /// Per-boot metrics registry: translate/emit duration histograms and
     /// steal counters land here as the pipeline runs.
     pub metrics: telemetry::Registry,
@@ -585,22 +448,9 @@ impl EmitTracker {
     }
 }
 
-/// Tag folding every `JitOptions` knob that changes a layout plan into a
-/// plan-cache key component, so plans never alias across option sets.
-fn plan_options_tag(opts: &JitOptions) -> u64 {
-    let mut h = Fnv::new();
-    h.u8(opts.use_exttsp as u8);
-    h.u8(opts.use_hotcold as u8);
-    h.u64(opts.cold_threshold);
-    h.u64(opts.cold_fraction.to_bits());
-    h.u8(opts.plan.hugepage_pack as u8);
-    h.u8(opts.plan.global_hotcold as u8);
-    h.finish()
-}
-
 fn translate_and_plan(job: &PipelineJob<'_, '_>, func: FuncId) -> (VasmUnit, LayoutPlan) {
     let _span = telemetry::span!("compile", "func" => func.index());
-    let unit = translate_optimized_with(
+    let unit = translate_optimized(
         job.repo,
         func,
         job.tier,
@@ -608,36 +458,8 @@ fn translate_and_plan(job: &PipelineJob<'_, '_>, func: FuncId) -> (VasmUnit, Lay
         job.jit_opts.weights,
         job.jit_opts.inline,
         &job.resolver,
-        job.caches.map(|c| &c.templates as &dyn TemplateSource),
     );
-    let plan = match job.caches {
-        Some(caches) => {
-            let blocks = unit.layout_blocks();
-            let edges = unit.layout_edges();
-            let key = PlanKey {
-                fingerprint: layout_fingerprint(&blocks, &edges),
-                tag: plan_options_tag(&job.jit_opts),
-                blocks,
-                edges,
-            };
-            let cached = caches.plans.get_or_insert_with(key, |k| {
-                let p = plan_layout_parts(&job.jit_opts, &k.blocks, &k.edges);
-                layout::CachedPlan {
-                    hot: p.hot,
-                    cold: p.cold,
-                    hot_bytes: p.hot_bytes,
-                    cold_bytes: p.cold_bytes,
-                }
-            });
-            LayoutPlan {
-                hot: cached.hot,
-                cold: cached.cold,
-                hot_bytes: cached.hot_bytes,
-                cold_bytes: cached.cold_bytes,
-            }
-        }
-        None => plan_layout(&job.jit_opts, &unit),
-    };
+    let plan = plan_layout(&job.jit_opts, &unit);
     (unit, plan)
 }
 
@@ -978,12 +800,6 @@ mod tests {
                 ready_ns: 40,
                 background_funcs: 3,
                 background_bytes: 734,
-            }),
-            caches: Some(CacheStats {
-                template_hits: 7,
-                template_misses: 2,
-                plan_hits: 4,
-                plan_misses: 1,
             }),
         };
         let reg = telemetry::Registry::default();

@@ -262,7 +262,7 @@ impl<'a> Reader<'a> {
 /// Magic prefix of every package.
 pub const MAGIC: &[u8; 8] = b"HHJSPKG\0";
 
-/// Current format version.
+/// The only format version [`unseal`] accepts.
 ///
 /// v5 added the per-function stale-matching signatures (`name_hash` and
 /// the opcode / neighbor / anchor block-hash arrays). v6 added the chunk
@@ -272,11 +272,6 @@ pub const MAGIC: &[u8; 8] = b"HHJSPKG\0";
 /// hash, so an unchanged profile encodes to byte-identical chunks even
 /// across releases that renumber every `FuncId`.
 pub const VERSION: u32 = 6;
-
-/// Oldest envelope version [`unseal`] still accepts. v5 payloads (raw-id
-/// records, no head directory) decode through a retained v5 read path,
-/// so packages sealed by a v5 seeder remain consumable after a rollout.
-pub const MIN_VERSION: u32 = 5;
 
 /// Envelope bytes before the payload: magic, version, payload length.
 pub const HEADER_LEN: usize = 16;
@@ -328,7 +323,7 @@ pub fn unseal(data: &[u8]) -> Result<&[u8], WireError> {
         return Err(WireError::BadMagic);
     }
     let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError::BadVersion {
             found: version,
             supported: VERSION,
@@ -351,12 +346,6 @@ pub fn unseal(data: &[u8]) -> Result<&[u8], WireError> {
         });
     }
     Ok(payload)
-}
-
-/// The envelope version of sealed bytes. Only reads the version field —
-/// callers must have validated `data` with [`unseal`] first.
-pub fn sealed_version(data: &[u8]) -> u32 {
-    u32::from_le_bytes(data[8..12].try_into().expect("validated envelope"))
 }
 
 /// Like [`unseal`], but over shared bytes: the returned payload is a
@@ -489,25 +478,18 @@ mod tests {
     }
 
     #[test]
-    fn previous_version_envelope_still_unseals() {
+    fn previous_version_envelope_is_rejected() {
         let mut w = Writer::new();
         w.str("payload");
         let sealed = seal(w.finish());
         // The crc covers only the payload, so rewriting the version field
-        // yields a well-formed older envelope.
-        let mut v5 = sealed.to_vec();
-        v5[8..12].copy_from_slice(&MIN_VERSION.to_le_bytes());
-        let payload = unseal(&v5).expect("v5 envelopes are still supported");
-        let mut r = Reader::new(payload);
-        assert_eq!(r.str().unwrap(), "payload");
-
-        // One before the floor is rejected.
-        let mut v4 = sealed.to_vec();
-        v4[8..12].copy_from_slice(&(MIN_VERSION - 1).to_le_bytes());
+        // yields an otherwise well-formed older envelope.
+        let mut old = sealed.to_vec();
+        old[8..12].copy_from_slice(&(VERSION - 1).to_le_bytes());
         assert_eq!(
-            unseal(&v4),
+            unseal(&old),
             Err(WireError::BadVersion {
-                found: MIN_VERSION - 1,
+                found: VERSION - 1,
                 supported: VERSION
             })
         );

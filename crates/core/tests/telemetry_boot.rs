@@ -138,7 +138,9 @@ fn traced_parallel_boot_produces_well_formed_worker_trees() {
 #[test]
 fn untraced_boot_still_renders_boot_stats_from_registry() {
     // Tracing off (the default): no spans recorded, but the metrics
-    // registry still backs BootStats.
+    // registry still backs BootStats. The session lock keeps a concurrent
+    // capture() from turning tracing on and recording this boot's spans.
+    let _session = telemetry::session_lock();
     let (repo, pkg) = make_package();
     let bytes = pkg.serialize();
     assert!(!telemetry::enabled());

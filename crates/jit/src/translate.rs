@@ -16,7 +16,7 @@
 //!   branch counts.
 //! * `true_*` — ground truth, used only by the replay executor.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use bytecode::{BlockId, Cfg, ClassId, FuncId, Instr, Repo, StrId};
 use vm::ValueKind;
@@ -25,7 +25,7 @@ use crate::profile::{CtxProfile, FuncProfile, InlineCtx, TierProfile, PARAM_SITE
 use crate::vasm::{Term, VBlock, VInstr, VasmUnit};
 
 /// Where layout weights come from (the §V-A knob).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WeightSource {
     /// Tier-1 bytecode counters only (no Jump-Start).
     TierOnly,
@@ -58,61 +58,6 @@ impl Default for InlineParams {
 /// Threshold above which an operand type is considered monomorphic.
 const MONO: f64 = 0.95;
 
-/// A relocatable, site-independent translation of an inlinable callee
-/// body, produced once per callee and spliced (with per-site weight
-/// rescaling and branch-probability patching) at every inline site.
-///
-/// Everything in an inlined body except block weights and branch
-/// probabilities is independent of the call site: `should_inline` rejects
-/// nested inlining (`depth > 0`), so the body's instruction selection,
-/// specialization and slot resolution depend only on the callee's own
-/// profile. The template stores terminator targets as *template-local*
-/// indices and the unscaled tier-1 block counters, so splicing is a pure
-/// rebase + rescale.
-#[derive(Clone, Debug)]
-pub struct InlineTemplate {
-    /// Translated body blocks; `Term` targets are template-local. Branch
-    /// probabilities carry the TierOnly (site-independent) estimates and
-    /// aggregate truth, both patched per site when spliced.
-    pub blocks: Vec<VBlock>,
-    /// Per-block unscaled tier-1 block counter (0 for synthetic blocks
-    /// such as the side-exit funnel).
-    pub raw_weights: Vec<u64>,
-    /// `(template block index, bytecode instruction index)` of every
-    /// conditional branch, for per-site probability patching.
-    pub branch_sites: Vec<(usize, u32)>,
-    /// Whether the callee had tier-1 block counters (otherwise all spliced
-    /// weights are 0, matching direct translation).
-    pub profiled: bool,
-}
-
-/// Cache key for one memoized inline-body template.
-///
-/// The template contents are actually weight-mode independent (the mode
-/// only affects the per-site patching done at splice time), but keying by
-/// mode keeps a shared cache trivially correct if boots with different
-/// weight sources ever share one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct TemplateKey {
-    /// The inlined callee.
-    pub callee: FuncId,
-    /// Weight mode of the translation requesting the template.
-    pub weights: WeightSource,
-}
-
-/// A provider of memoized [`InlineTemplate`]s, shared across translation
-/// worker threads. `get_or_build` returns the cached template for `key`
-/// or invokes `build` (exactly once per key for well-behaved caches) and
-/// caches the result.
-pub trait TemplateSource: Sync {
-    /// Looks up `key`, building and inserting on a miss.
-    fn get_or_build(
-        &self,
-        key: TemplateKey,
-        build: &mut dyn FnMut() -> InlineTemplate,
-    ) -> Arc<InlineTemplate>;
-}
-
 /// Lazily-initialized empty profile for callees the tier never saw —
 /// avoids allocating a fresh `FuncProfile` per inline site.
 fn empty_func_profile() -> &'static FuncProfile {
@@ -135,33 +80,6 @@ pub fn translate_optimized(
     inline: InlineParams,
     slot_resolver: &dyn Fn(ClassId, StrId) -> Option<u16>,
 ) -> VasmUnit {
-    translate_optimized_with(
-        repo,
-        func,
-        tier,
-        ctx_profile,
-        weights,
-        inline,
-        slot_resolver,
-        None,
-    )
-}
-
-/// [`translate_optimized`] with an optional memoized inline-body template
-/// cache. With `templates: Some(..)` each inlinable callee is translated
-/// once per cache lifetime and spliced per site; the output is guaranteed
-/// identical to the uncached translation.
-#[allow(clippy::too_many_arguments)]
-pub fn translate_optimized_with(
-    repo: &Repo,
-    func: FuncId,
-    tier: &TierProfile,
-    ctx_profile: &CtxProfile,
-    weights: WeightSource,
-    inline: InlineParams,
-    slot_resolver: &dyn Fn(ClassId, StrId) -> Option<u16>,
-    templates: Option<&dyn TemplateSource>,
-) -> VasmUnit {
     let _span = telemetry::span!("translate-optimized", "func" => func.index());
     let mut tr = Translator {
         repo,
@@ -173,8 +91,6 @@ pub fn translate_optimized_with(
         blocks: Vec::new(),
         kind: Kind::Optimized,
         depth: 0,
-        templates,
-        branch_sites: Vec::new(),
     };
     let fp = tier
         .funcs
@@ -261,8 +177,6 @@ fn translate_unoptimized(
         blocks: Vec::new(),
         kind,
         depth: 0,
-        templates: None,
-        branch_sites: Vec::new(),
     };
     tr.translate_function(func, empty_func_profile(), None, 1.0, false);
     VasmUnit {
@@ -301,11 +215,6 @@ struct Translator<'a> {
     blocks: Vec<VBlock>,
     kind: Kind,
     depth: u32,
-    templates: Option<&'a dyn TemplateSource>,
-    /// `(vasm block, bytecode instr)` of each conditional branch emitted,
-    /// recorded so the template builder knows which blocks need per-site
-    /// probability patching when spliced.
-    branch_sites: Vec<(usize, u32)>,
 }
 
 impl Translator<'_> {
@@ -387,7 +296,6 @@ impl Translator<'_> {
                         };
                         self.blocks[cur].true_taken_prob = true_p;
                         self.blocks[cur].est_taken_prob = est_p;
-                        self.branch_sites.push((cur, at));
                         fixups.push((cur, t, Some(fall)));
                         terminated = true;
                     }
@@ -536,24 +444,14 @@ impl Translator<'_> {
             site_calls as f64 / callee_fp.enter_count as f64
         };
 
-        // Splice the callee body into our block vector — from the memoized
-        // template when a cache is installed, else by re-translating from
-        // bytecode. Under Accurate weights the context-sensitive counters
-        // give per-site truth; under TierOnly the callee average is scaled.
+        // Splice the callee body into our block vector. Under Accurate
+        // weights the context-sensitive counters give per-site truth; under
+        // TierOnly the callee average is scaled.
         let mark = self.blocks.len();
-        if let Some(src) = self.templates {
-            let key = TemplateKey {
-                callee,
-                weights: self.weights,
-            };
-            let tpl = src.get_or_build(key, &mut || self.build_inline_template(callee, callee_fp));
-            self.splice_template(&tpl, callee, ctx, scale);
-        } else {
-            self.depth += 1;
-            let entry_of = self.translate_function(callee, callee_fp, ctx, scale, false);
-            self.depth -= 1;
-            debug_assert_eq!(entry_of.first().copied().unwrap_or(mark), mark);
-        }
+        self.depth += 1;
+        let entry_of = self.translate_function(callee, callee_fp, ctx, scale, false);
+        self.depth -= 1;
+        debug_assert_eq!(entry_of.first().copied().unwrap_or(mark), mark);
         let callee_entry = mark;
         // Continuation block: rest of the caller's bytecode block.
         let cont = {
@@ -583,91 +481,6 @@ impl Translator<'_> {
         // Jump from the call block into the inlined entry.
         self.blocks[cur].term = Term::Jump(callee_entry);
         cont
-    }
-
-    /// Translates `callee` once into a relocatable template: local branch
-    /// targets, unscaled weights, TierOnly probability estimates. Built
-    /// exactly like a direct depth-1 inline translation with `ctx = None`
-    /// and `scale = 1.0`; everything a call site changes is re-derived in
-    /// [`Self::splice_template`].
-    fn build_inline_template(&self, callee: FuncId, callee_fp: &FuncProfile) -> InlineTemplate {
-        let mut tr = Translator {
-            repo: self.repo,
-            tier: self.tier,
-            ctx_profile: self.ctx_profile,
-            // TierOnly bakes the site-independent estimates into the
-            // template; Accurate splices patch them from per-site truth.
-            weights: WeightSource::TierOnly,
-            inline: self.inline,
-            slot_resolver: self.slot_resolver,
-            blocks: Vec::new(),
-            kind: Kind::Optimized,
-            depth: 1,
-            templates: None,
-            branch_sites: Vec::new(),
-        };
-        tr.translate_function(callee, callee_fp, None, 1.0, false);
-        let profiled = !callee_fp.block_counts.is_empty();
-        // Raw counters come straight from the profile (not back through the
-        // f64 scaling), so splicing computes bit-for-bit the same
-        // `(raw * scale) as u64` as direct translation.
-        let raw_weights: Vec<u64> = tr
-            .blocks
-            .iter()
-            .map(|b| match b.bc_origin {
-                Some((_, bc)) if profiled => {
-                    callee_fp.block_counts.get(bc.index()).copied().unwrap_or(0)
-                }
-                _ => 0,
-            })
-            .collect();
-        InlineTemplate {
-            blocks: tr.blocks,
-            raw_weights,
-            branch_sites: tr.branch_sites,
-            profiled,
-        }
-    }
-
-    /// Appends a template's blocks to the unit: rebases terminator targets
-    /// by the splice point, rescales weights for this site, and patches
-    /// branch probabilities with the context-sensitive truth (which also
-    /// drives the layout estimate in Accurate mode).
-    fn splice_template(
-        &mut self,
-        tpl: &InlineTemplate,
-        callee: FuncId,
-        ctx: InlineCtx,
-        scale: f64,
-    ) {
-        let mark = self.blocks.len();
-        for (tb, &raw) in tpl.blocks.iter().zip(&tpl.raw_weights) {
-            let mut b = tb.clone();
-            b.term = match b.term {
-                Term::Jump(t) => Term::Jump(t + mark),
-                Term::Cond { taken, fall } => Term::Cond {
-                    taken: taken + mark,
-                    fall: fall + mark,
-                },
-                t => t,
-            };
-            let est = if tpl.profiled {
-                (raw as f64 * scale) as u64
-            } else {
-                0
-            };
-            b.est_weight = est;
-            b.true_weight = est;
-            self.blocks.push(b);
-        }
-        for &(bi, bat) in &tpl.branch_sites {
-            let true_p = self.ctx_profile.taken_prob(ctx, callee, bat);
-            let b = &mut self.blocks[mark + bi];
-            b.true_taken_prob = true_p;
-            if self.weights == WeightSource::Accurate {
-                b.est_taken_prob = true_p;
-            }
-        }
     }
 
     fn lower_simple(&self, func: FuncId, at: u32, instr: Instr, fp: &FuncProfile) -> Vec<VInstr> {
@@ -1111,121 +924,6 @@ mod tests {
             .max()
             .unwrap();
         assert!(hot >= 990, "one arm should carry ~all weight, got {hot}");
-    }
-
-    /// Minimal well-behaved cache for tests: one build per key, shared
-    /// thereafter.
-    #[derive(Default)]
-    struct MemoTemplates {
-        map: std::sync::Mutex<std::collections::HashMap<TemplateKey, Arc<InlineTemplate>>>,
-        builds: std::sync::atomic::AtomicUsize,
-    }
-
-    impl TemplateSource for MemoTemplates {
-        fn get_or_build(
-            &self,
-            key: TemplateKey,
-            build: &mut dyn FnMut() -> InlineTemplate,
-        ) -> Arc<InlineTemplate> {
-            let mut map = self.map.lock().unwrap();
-            map.entry(key)
-                .or_insert_with(|| {
-                    self.builds
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    Arc::new(build())
-                })
-                .clone()
-        }
-    }
-
-    #[test]
-    fn template_splicing_matches_direct_translation() {
-        // Two call sites of the same helper with sharply different per-site
-        // branch behavior (the hardest case: Accurate mode must patch
-        // per-site probabilities into the shared template), plus a second
-        // helper through a dynamic site.
-        let src = r#"
-            function helper($flag) {
-                if ($flag) { return 1; }
-                return 2;
-            }
-            function twice($x) { return $x + $x; }
-            function main($n) {
-                $s = 0;
-                for ($i = 0; $i < $n; $i++) {
-                    $s = $s + helper(true) + helper(false) + twice($i);
-                }
-                return $s;
-            }
-        "#;
-        let (repo, tier, ctx) = profile_src(src, "main", &[Value::Int(25)], 2);
-        for ws in [WeightSource::TierOnly, WeightSource::Accurate] {
-            let cache = MemoTemplates::default();
-            let f = repo.func_by_name("main").unwrap().id;
-            let direct = translate_optimized(
-                &repo,
-                f,
-                &tier,
-                &ctx,
-                ws,
-                InlineParams::default(),
-                &|_, _| None,
-            );
-            let cached = translate_optimized_with(
-                &repo,
-                f,
-                &tier,
-                &ctx,
-                ws,
-                InlineParams::default(),
-                &|_, _| None,
-                Some(&cache),
-            );
-            assert_eq!(direct, cached, "weights={ws:?}");
-            // helper is inlined at two sites but built once; twice at one.
-            let builds = cache.builds.load(std::sync::atomic::Ordering::Relaxed);
-            assert_eq!(builds, 2, "one template build per distinct callee");
-        }
-    }
-
-    #[test]
-    fn template_splicing_matches_with_slot_resolver() {
-        // Property specialization inside an inlined body must come out of
-        // the template identically (slot resolution is site-independent).
-        let src = r#"
-            class P { public $a = 1; public $b = 2; }
-            function get_a($p) { return $p->a; }
-            function main($n) {
-                $p = new P();
-                $s = 0;
-                for ($i = 0; $i < $n; $i++) { $s = $s + get_a($p); }
-                return $s;
-            }
-        "#;
-        let (repo, tier, ctx) = profile_src(src, "main", &[Value::Int(20)], 2);
-        let f = repo.func_by_name("main").unwrap().id;
-        let resolver = |_c: ClassId, name: StrId| (repo.str(name) == "a").then_some(3u16);
-        let cache = MemoTemplates::default();
-        let direct = translate_optimized(
-            &repo,
-            f,
-            &tier,
-            &ctx,
-            WeightSource::Accurate,
-            InlineParams::default(),
-            &resolver,
-        );
-        let cached = translate_optimized_with(
-            &repo,
-            f,
-            &tier,
-            &ctx,
-            WeightSource::Accurate,
-            InlineParams::default(),
-            &resolver,
-            Some(&cache),
-        );
-        assert_eq!(direct, cached);
     }
 
     #[test]

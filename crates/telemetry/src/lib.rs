@@ -10,9 +10,9 @@
 //!   [`drain`] assembles buffers into a [`Trace`]; [`Trace::trees`]
 //!   rebuilds the span hierarchy post-hoc.
 //! - **Metrics** ([`metrics`] module): named counters, gauges, and
-//!   power-of-two-bucket histograms behind a [`Registry`]. `BootStats`,
-//!   `CacheStats`, and `WorkerStats` in `core` are rendered as views of a
-//!   registry rather than hand-threaded structs.
+//!   power-of-two-bucket histograms behind a [`Registry`]. `BootStats` and
+//!   `WorkerStats` in `core` are rendered as views of a registry rather
+//!   than hand-threaded structs.
 //! - **Exporters**: Chrome-trace JSON ([`Trace::to_chrome_json`],
 //!   loadable in Perfetto, one track per pipeline worker / one process per
 //!   simulated server) plus a schema validator ([`validate_chrome`]) for

@@ -216,8 +216,22 @@ pub fn churn_sources(files: &mut [(String, String)], churn: &ChurnParams) -> Chu
     }
 
     // Pass 2: body edits on surviving chunks, drop deleted ones, shuffle
-    // and insert per file.
-    let mut insert_counter = 0usize;
+    // and insert per file. Inserted helpers are numbered past every
+    // `qnew_<k>` an earlier churn of these sources added, so chained
+    // churns never insert a duplicate name.
+    let mut insert_counter = files
+        .iter()
+        .flat_map(|(_, src)| src.lines())
+        .filter_map(|l| {
+            l.strip_prefix("function qnew_")?
+                .split('(')
+                .next()?
+                .parse()
+                .ok()
+        })
+        .map(|k: usize| k + 1)
+        .max()
+        .unwrap_or(0);
     for ((file, ff), &fi) in chunks.iter_mut().zip(&fates).zip(&churnable) {
         let mut kept: Vec<Chunk> = Vec::with_capacity(file.len());
         for (mut c, &fate) in file.drain(..).zip(ff) {
@@ -364,6 +378,28 @@ mod tests {
                     .unwrap_or_else(|e| panic!("ep {:?} arg {arg}: {e}", ep.func));
             }
         }
+    }
+
+    #[test]
+    fn chained_churns_never_repeat_a_function_name() {
+        let params = AppParams::tiny();
+        let mut files = appgen::build_sources(&params);
+        let mut inserted = 0;
+        for seed in [3, 4] {
+            inserted += churn_sources(&mut files, &ChurnParams { seed, rate: 1.0 }).funcs_inserted;
+        }
+        assert!(inserted >= 2, "both churns must insert helpers");
+        let app = appgen::compile_sources(&params, &files);
+        let mut names: Vec<&str> = app
+            .repo
+            .funcs()
+            .iter()
+            .map(|f| app.repo.str(f.name))
+            .collect();
+        let total = names.len();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), total, "a function name repeats");
     }
 
     #[test]
